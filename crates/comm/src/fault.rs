@@ -87,6 +87,7 @@ use crate::transport::{self, FramedLink, Link, LinkBox, TransportError, Transpor
 use crate::wire::Message;
 use std::cell::RefCell;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -341,13 +342,13 @@ fn flip_bit(msg: &Message, pos: usize) -> Message {
 struct ShortReader {
     inner: Box<dyn Read + Send>,
     cap: usize,
-    injected: bichrome_obs::Counter,
+    stats: Arc<FaultStats>,
 }
 
 impl Read for ShortReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if buf.len() > self.cap {
-            self.injected.inc();
+            self.stats.injected_short.inc();
             self.inner.read(&mut buf[..self.cap])
         } else {
             self.inner.read(buf)
@@ -360,13 +361,13 @@ impl Read for ShortReader {
 struct ShortWriter {
     inner: Box<dyn Write + Send>,
     cap: usize,
-    injected: bichrome_obs::Counter,
+    stats: Arc<FaultStats>,
 }
 
 impl Write for ShortWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if buf.len() > self.cap {
-            self.injected.inc();
+            self.stats.injected_short.inc();
             self.inner.write(&buf[..self.cap])
         } else {
             self.inner.write(buf)
@@ -382,26 +383,57 @@ impl Write for ShortWriter {
 // FaultyLink: the wrapper that executes a plan.
 // ---------------------------------------------------------------------------
 
-/// Cached observability handles, one set per faulty pair.
-#[derive(Clone)]
-struct FaultMetrics {
-    injected_sever: bichrome_obs::Counter,
-    injected_delay: bichrome_obs::Counter,
-    injected_corrupt: bichrome_obs::Counter,
-    injected_short: bichrome_obs::Counter,
-    detected_corrupt: bichrome_obs::Counter,
-    detected_duplicate: bichrome_obs::Counter,
+/// One kind of fault, counted for one link pair. Each increment also
+/// feeds the process-wide registry counter, which sums every pair.
+struct Tally {
+    pair: AtomicU64,
+    process: bichrome_obs::Counter,
 }
 
-impl FaultMetrics {
-    fn new() -> FaultMetrics {
+impl Tally {
+    fn new(process: bichrome_obs::Counter) -> Tally {
+        Tally {
+            pair: AtomicU64::new(0),
+            process,
+        }
+    }
+
+    fn inc(&self) {
+        self.pair.fetch_add(1, Ordering::Relaxed);
+        self.process.inc();
+    }
+
+    fn get(&self) -> u64 {
+        self.pair.load(Ordering::Relaxed)
+    }
+}
+
+/// The fault counts of one faulty pair, shared by both halves and
+/// mirrored into `bichrome_comm_faults_{injected,detected}_total`.
+struct FaultStats {
+    injected_sever: Tally,
+    injected_delay: Tally,
+    injected_corrupt: Tally,
+    injected_short: Tally,
+    detected_corrupt: Tally,
+    detected_duplicate: Tally,
+}
+
+impl FaultStats {
+    fn new() -> FaultStats {
         let injected = |kind| {
-            bichrome_obs::counter_labeled("bichrome_comm_faults_injected_total", &[("kind", kind)])
+            Tally::new(bichrome_obs::counter_labeled(
+                "bichrome_comm_faults_injected_total",
+                &[("kind", kind)],
+            ))
         };
         let detected = |kind| {
-            bichrome_obs::counter_labeled("bichrome_comm_faults_detected_total", &[("kind", kind)])
+            Tally::new(bichrome_obs::counter_labeled(
+                "bichrome_comm_faults_detected_total",
+                &[("kind", kind)],
+            ))
         };
-        FaultMetrics {
+        FaultStats {
             injected_sever: injected("sever"),
             injected_delay: injected("delay"),
             injected_corrupt: injected("corrupt"),
@@ -412,12 +444,31 @@ impl FaultMetrics {
     }
 }
 
+/// What one faulty pair has injected and detected so far — its own
+/// share of the process-wide fault counters, unaffected by any other
+/// pair. Read it with [`FaultyLink::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounts {
+    /// Severed connections.
+    pub injected_sever: u64,
+    /// Delayed sends.
+    pub injected_delay: u64,
+    /// Bit-flipped copies sent ahead of a clean frame.
+    pub injected_corrupt: u64,
+    /// Raw stream reads and writes cut short.
+    pub injected_short: u64,
+    /// Corrupt frames the envelope checksum rejected.
+    pub detected_corrupt: u64,
+    /// Retransmitted frames dropped as already delivered.
+    pub detected_duplicate: u64,
+}
+
 /// The reconnect rendezvous both halves share: after a sever, the
 /// initiator parks the responder's replacement link half here.
 struct Shared {
     kind: TransportKind,
     short_bytes: Option<usize>,
-    metrics: FaultMetrics,
+    stats: Arc<FaultStats>,
     slot: Mutex<Slot>,
     cv: Condvar,
 }
@@ -433,7 +484,7 @@ struct Slot {
 fn base_pair(
     kind: TransportKind,
     short_bytes: Option<usize>,
-    metrics: &FaultMetrics,
+    stats: &Arc<FaultStats>,
 ) -> io::Result<(LinkBox, LinkBox)> {
     let cap = match short_bytes {
         Some(cap) => cap,
@@ -447,12 +498,12 @@ fn base_pair(
                     ShortReader {
                         inner: read,
                         cap,
-                        injected: metrics.injected_short.clone(),
+                        stats: Arc::clone(stats),
                     },
                     ShortWriter {
                         inner: write,
                         cap,
-                        injected: metrics.injected_short.clone(),
+                        stats: Arc::clone(stats),
                     },
                 )
             };
@@ -490,13 +541,27 @@ pub struct FaultyLink {
 }
 
 impl FaultyLink {
+    /// The faults this link's pair has injected and detected so far,
+    /// on both halves. Other pairs in the process never add to it.
+    pub fn stats(&self) -> FaultCounts {
+        let s = &self.shared.stats;
+        FaultCounts {
+            injected_sever: s.injected_sever.get(),
+            injected_delay: s.injected_delay.get(),
+            injected_corrupt: s.injected_corrupt.get(),
+            injected_short: s.injected_short.get(),
+            detected_corrupt: s.detected_corrupt.get(),
+            detected_duplicate: s.detected_duplicate.get(),
+        }
+    }
+
     /// Initiator only: severs the live link and offers the peer a
     /// replacement.
     fn sever(&mut self) -> Result<(), TransportError> {
         let (mine, theirs) = base_pair(
             self.shared.kind,
             self.shared.short_bytes,
-            &self.shared.metrics,
+            &self.shared.stats,
         )
         .map_err(|e| TransportError::Io(format!("reconnect after sever: {e}")))?;
         {
@@ -507,7 +572,7 @@ impl FaultyLink {
         // Dropping the old half is the sever: the responder's next
         // link operation fails and sends it to the slot.
         self.base = mine;
-        self.shared.metrics.injected_sever.inc();
+        self.shared.stats.injected_sever.inc();
         if let Some(prev) = self.last_sent.clone() {
             self.base.try_send(&prev)?;
         }
@@ -562,7 +627,7 @@ impl Link for FaultyLink {
             self.sever()?;
         }
         if self.plan.delay_ms > 0 {
-            self.shared.metrics.injected_delay.inc();
+            self.shared.stats.injected_delay.inc();
             std::thread::sleep(Duration::from_millis(self.plan.delay_ms));
         }
         let sealed = seal(self.send_seq, msg);
@@ -570,7 +635,7 @@ impl Link for FaultyLink {
             // One deterministic bit flip: CRC-32 detects every
             // single-bit error, so the copy can never be accepted.
             let pos = (splitmix64(self.seed ^ k) as usize) % (sealed.len_bits().max(1));
-            self.shared.metrics.injected_corrupt.inc();
+            self.shared.stats.injected_corrupt.inc();
             self.base.try_send(&flip_bit(&sealed, pos))?;
         }
         self.send_envelope(&sealed)?;
@@ -594,14 +659,14 @@ impl Link for FaultyLink {
                 Err(_) => {
                     // Detected corruption: drop the bad copy — the
                     // clean retransmit is right behind it.
-                    self.shared.metrics.detected_corrupt.inc();
+                    self.shared.stats.detected_corrupt.inc();
                     continue;
                 }
                 Ok((seq, msg)) => {
                     if seq < self.recv_expect {
                         // A retransmit of something already
                         // delivered: deduplicate.
-                        self.shared.metrics.detected_duplicate.inc();
+                        self.shared.stats.detected_duplicate.inc();
                         continue;
                     }
                     if seq > self.recv_expect {
@@ -633,12 +698,25 @@ pub fn faulty_pair(
     plan: &FaultPlan,
     seed: u64,
 ) -> io::Result<(LinkBox, LinkBox)> {
-    let metrics = FaultMetrics::new();
-    let (a, b) = base_pair(kind, plan.short_bytes, &metrics)?;
+    let (a, b) = faulty_links(kind, plan, seed)?;
+    Ok((Box::new(a), Box::new(b)))
+}
+
+/// [`faulty_pair`] without the boxing, so the halves' [`stats`]
+/// stay reachable.
+///
+/// [`stats`]: FaultyLink::stats
+fn faulty_links(
+    kind: TransportKind,
+    plan: &FaultPlan,
+    seed: u64,
+) -> io::Result<(FaultyLink, FaultyLink)> {
+    let stats = Arc::new(FaultStats::new());
+    let (a, b) = base_pair(kind, plan.short_bytes, &stats)?;
     let shared = Arc::new(Shared {
         kind,
         short_bytes: plan.short_bytes,
-        metrics,
+        stats,
         slot: Mutex::new(Slot::default()),
         cv: Condvar::new(),
     });
@@ -653,10 +731,7 @@ pub fn faulty_pair(
         last_sent: None,
         shared,
     };
-    Ok((
-        Box::new(half(a, true, shared.clone())),
-        Box::new(half(b, false, shared)),
-    ))
+    Ok((half(a, true, shared.clone()), half(b, false, shared)))
 }
 
 #[cfg(test)]
@@ -748,10 +823,11 @@ mod tests {
         assert!(session_faults().is_noop(), "panicking scope restored");
     }
 
-    /// Drives a two-round exchange over a faulty pair and asserts the
-    /// payloads are delivered intact.
-    fn exchange_survives(kind: TransportKind, plan: &FaultPlan, seed: u64) {
-        let (mut alice, mut bob) = faulty_pair(kind, plan, seed).expect("pair");
+    /// Drives a two-round exchange over a faulty pair, asserts the
+    /// payloads are delivered intact, and returns the pair's own
+    /// fault counts.
+    fn exchange_survives(kind: TransportKind, plan: &FaultPlan, seed: u64) -> FaultCounts {
+        let (mut alice, mut bob) = faulty_links(kind, plan, seed).expect("pair");
         let handle = std::thread::spawn(move || {
             let got = bob.recv();
             assert_eq!(got.reader().read_uint(11), 1027, "bob got round 1");
@@ -765,6 +841,7 @@ mod tests {
         alice.send(&msg(19, 5));
         assert!(alice.recv().is_empty(), "alice round 2");
         handle.join().expect("bob ok");
+        alice.stats()
     }
 
     #[test]
@@ -784,7 +861,17 @@ mod tests {
             for spec in plans {
                 let plan: FaultPlan = spec.parse().expect(spec);
                 for seed in [0u64, 1, 99] {
-                    exchange_survives(kind, &plan, seed);
+                    // Alice sends twice, so every sever and corrupt
+                    // clause (all at frame 1 or 2) fires exactly once.
+                    let counts = exchange_survives(kind, &plan, seed);
+                    let what = format!("{spec} on {kind:?}, seed {seed}");
+                    assert_eq!(counts.injected_sever, plan.severs.len() as u64, "{what}");
+                    assert_eq!(
+                        counts.injected_corrupt,
+                        plan.corrupts.len() as u64,
+                        "{what}"
+                    );
+                    assert_eq!(counts.detected_corrupt, counts.injected_corrupt, "{what}");
                 }
             }
         }
@@ -792,35 +879,44 @@ mod tests {
 
     #[test]
     fn corruption_is_counted_as_injected_and_detected() {
-        let detected = bichrome_obs::counter_labeled(
-            "bichrome_comm_faults_detected_total",
-            &[("kind", "corrupt")],
-        );
-        let injected = bichrome_obs::counter_labeled(
-            "bichrome_comm_faults_injected_total",
-            &[("kind", "corrupt")],
-        );
-        let (d0, i0) = (detected.get(), injected.get());
         let plan: FaultPlan = "corrupt@1,corrupt@2".parse().unwrap();
-        exchange_survives(TransportKind::InProc, &plan, 4);
-        assert_eq!(injected.get() - i0, 2, "two corrupt frames injected");
+        let counts = exchange_survives(TransportKind::InProc, &plan, 4);
         assert_eq!(
-            detected.get() - d0,
-            2,
-            "both were detected, neither delivered"
+            counts,
+            FaultCounts {
+                injected_corrupt: 2,
+                detected_corrupt: 2,
+                ..FaultCounts::default()
+            },
+            "two corrupt frames injected, both detected, neither delivered"
         );
     }
 
     #[test]
     fn severs_are_counted_and_recovered_from() {
+        let plan: FaultPlan = "sever@1,sever@2".parse().unwrap();
+        let counts = exchange_survives(TransportKind::Tcp, &plan, 11);
+        assert_eq!(counts.injected_sever, 2, "both severs fired");
+        assert_eq!(
+            (counts.injected_corrupt, counts.detected_corrupt),
+            (0, 0),
+            "a sever corrupts nothing"
+        );
+    }
+
+    #[test]
+    fn pair_counts_feed_the_process_counters() {
         let injected = bichrome_obs::counter_labeled(
             "bichrome_comm_faults_injected_total",
-            &[("kind", "sever")],
+            &[("kind", "corrupt")],
         );
         let before = injected.get();
-        let plan: FaultPlan = "sever@1,sever@2".parse().unwrap();
-        exchange_survives(TransportKind::Tcp, &plan, 11);
-        assert_eq!(injected.get() - before, 2, "both severs fired");
+        let plan: FaultPlan = "corrupt@1".parse().unwrap();
+        let counts = exchange_survives(TransportKind::InProc, &plan, 5);
+        assert_eq!(counts.injected_corrupt, 1);
+        // Other tests inject concurrently, so the process-wide counter
+        // is only bounded below by this pair's share.
+        assert!(injected.get() >= before + counts.injected_corrupt);
     }
 
     #[test]

@@ -180,7 +180,9 @@ impl fmt::Display for Edge {
 ///
 /// Adjacency is stored in compressed-sparse-row form: one flat
 /// neighbor array plus per-vertex offsets, so neighborhood iteration is
-/// cache friendly and `deg(v)` is O(1). Build one with
+/// cache friendly and `deg(v)` is O(1). Every array is shared behind
+/// an `Arc`, so `clone` is O(1): an edge partition and the instance
+/// cache hold the same whole graph, not copies of it. Build one with
 /// [`GraphBuilder`](crate::GraphBuilder) or one of the generators in
 /// [`gen`](crate::gen).
 ///
@@ -202,17 +204,17 @@ impl fmt::Display for Edge {
 pub struct Graph {
     n: u32,
     /// CSR offsets, length n+1.
-    offsets: Vec<u32>,
+    offsets: Arc<[u32]>,
     /// Flat neighbor list, length 2m.
-    neighbors: Vec<VertexId>,
+    neighbors: Arc<[VertexId]>,
     /// Companion to `neighbors`: `neighbor_edge_ids[k]` is the id of
     /// the edge joining the vertex to `neighbors[k]`, so iterating a
     /// vertex's incidence list yields `(VertexId, EdgeId)` pairs with
     /// zero lookups.
-    neighbor_edge_ids: Vec<EdgeId>,
-    /// Sorted edge list (u < v within each edge, lexicographic order),
-    /// shared behind an `Arc` so dense edge-indexed structures
-    /// (`EdgeColoring`) can borrow the id space without copying it.
+    neighbor_edge_ids: Arc<[EdgeId]>,
+    /// Sorted edge list (u < v within each edge, lexicographic order).
+    /// Dense edge-indexed structures (`EdgeColoring`) borrow the id
+    /// space through [`Graph::edges_shared`] without copying it.
     edges: Arc<[Edge]>,
     /// Maximum degree.
     max_degree: u32,
@@ -237,8 +239,15 @@ impl Graph {
             offsets.push(acc);
         }
         let mut cursor: Vec<u32> = offsets[..n as usize].to_vec();
-        let mut neighbors = vec![VertexId(0); 2 * edges.len()];
-        let mut neighbor_edge_ids = vec![EdgeId(0); 2 * edges.len()];
+        // Fill the shared arrays in place: collecting a `repeat_n`
+        // allocates the `Arc` once, where `Vec::into` would copy.
+        let mut neighbors_shared: Arc<[VertexId]> =
+            std::iter::repeat_n(VertexId(0), 2 * edges.len()).collect();
+        let mut neighbor_edge_ids_shared: Arc<[EdgeId]> =
+            std::iter::repeat_n(EdgeId(0), 2 * edges.len()).collect();
+        let neighbors = Arc::get_mut(&mut neighbors_shared).expect("fresh Arc is unique");
+        let neighbor_edge_ids =
+            Arc::get_mut(&mut neighbor_edge_ids_shared).expect("fresh Arc is unique");
         for (i, e) in edges.iter().enumerate() {
             let (u, v) = e.endpoints();
             let id = EdgeId(i as u32);
@@ -261,9 +270,9 @@ impl Graph {
         let max_degree = deg.iter().copied().max().unwrap_or(0);
         Graph {
             n,
-            offsets,
-            neighbors,
-            neighbor_edge_ids,
+            offsets: offsets.into(),
+            neighbors: neighbors_shared,
+            neighbor_edge_ids: neighbor_edge_ids_shared,
             edges: edges.into(),
             max_degree,
         }

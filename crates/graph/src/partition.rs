@@ -46,7 +46,8 @@ impl fmt::Display for Party {
 /// part `E_B`, each materialized as a subgraph on the full vertex set.
 ///
 /// Invariant: `alice.union(&bob) == whole` and the two edge sets are
-/// disjoint; [`EdgePartition::new`] checks this.
+/// disjoint. Both hold by construction; [`EdgePartition::new`] only
+/// checks that each edge it is given for Alice is an edge of `whole`.
 #[derive(Debug, Clone)]
 pub struct EdgePartition {
     whole: Graph,
@@ -57,22 +58,29 @@ pub struct EdgePartition {
 impl EdgePartition {
     /// Assembles a partition from the whole graph and Alice's edge set.
     ///
-    /// Edges of `whole` not in `alice_edges` go to Bob.
+    /// Edges of `whole` not in `alice_edges` go to Bob. `alice_edges`
+    /// may be in any order and may repeat an edge.
     ///
     /// # Panics
     ///
     /// Panics if `alice_edges` contains an edge not in `whole`.
     pub fn new(whole: Graph, alice_edges: &[Edge]) -> Self {
-        let mut is_alice = std::collections::HashSet::new();
+        let mut is_alice = vec![false; whole.num_edges()];
         for &e in alice_edges {
-            assert!(
-                whole.edges().binary_search(&e).is_ok(),
-                "edge {e} assigned to Alice is not in the graph"
-            );
-            is_alice.insert(e);
+            let id = (e.v().index() < whole.num_vertices())
+                .then(|| whole.edge_id(e.u(), e.v()))
+                .flatten()
+                .unwrap_or_else(|| panic!("edge {e} assigned to Alice is not in the graph"));
+            is_alice[id.index()] = true;
         }
-        let alice = whole.edge_subgraph(|e| is_alice.contains(&e));
-        let bob = whole.edge_subgraph(|e| !is_alice.contains(&e));
+        EdgePartition::from_mask(whole, &is_alice)
+    }
+
+    /// Splits `whole` by an edge-id mask: edge `i` goes to Alice iff
+    /// `is_alice[i]`. Two linear subgraph passes, no hashing.
+    fn from_mask(whole: Graph, is_alice: &[bool]) -> Self {
+        let alice = whole.edge_subgraph_where(|id, _| is_alice[id.index()]);
+        let bob = whole.edge_subgraph_where(|id, _| !is_alice[id.index()]);
         EdgePartition { whole, alice, bob }
     }
 
@@ -154,35 +162,24 @@ pub enum Partitioner {
 }
 
 impl Partitioner {
-    /// Applies the strategy to `g`.
+    /// Applies the strategy to `g`. The partition shares `g`'s arrays
+    /// rather than copying them.
     pub fn split(self, g: &Graph) -> EdgePartition {
         let n = g.num_vertices();
-        let alice: Vec<Edge> = match self {
-            Partitioner::AllToAlice => g.edges().to_vec(),
-            Partitioner::AllToBob => Vec::new(),
-            Partitioner::Alternating => g.edges().iter().copied().step_by(2).collect(),
+        let edges = g.edges();
+        let is_alice: Vec<bool> = match self {
+            Partitioner::AllToAlice => vec![true; edges.len()],
+            Partitioner::AllToBob => vec![false; edges.len()],
+            Partitioner::Alternating => (0..edges.len()).map(|i| i % 2 == 0).collect(),
             Partitioner::Random(seed) => {
+                // One draw per edge, in sorted edge order.
                 let mut rng = StdRng::seed_from_u64(seed);
-                g.edges()
-                    .iter()
-                    .copied()
-                    .filter(|_| rng.gen_bool(0.5))
-                    .collect()
+                edges.iter().map(|_| rng.gen_bool(0.5)).collect()
             }
-            Partitioner::ParitySum => g
-                .edges()
-                .iter()
-                .copied()
-                .filter(|e| (e.u().0 + e.v().0) % 2 == 0)
-                .collect(),
-            Partitioner::LowHalf => g
-                .edges()
-                .iter()
-                .copied()
-                .filter(|e| (e.u().index()) < n / 2)
-                .collect(),
+            Partitioner::ParitySum => edges.iter().map(|e| (e.u().0 + e.v().0) % 2 == 0).collect(),
+            Partitioner::LowHalf => edges.iter().map(|e| e.u().index() < n / 2).collect(),
         };
-        EdgePartition::new(g.clone(), &alice)
+        EdgePartition::from_mask(g.clone(), &is_alice)
     }
 
     /// The family of partitioners experiments sweep over, with `seed`

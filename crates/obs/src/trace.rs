@@ -208,8 +208,18 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The tracing gate is process-wide and these tests run on
+    /// concurrent threads: each holds this lock while it flips the
+    /// gate, so no test's `set_tracing` lands inside another's traced
+    /// or untraced region.
+    fn hold_gate() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn disabled_spans_record_nothing() {
+        let _gate = hold_gate();
         set_tracing(false);
         let before = span_events().len();
         {
@@ -223,6 +233,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_record_name_tag_and_nesting() {
+        let _gate = hold_gate();
         set_tracing(true);
         {
             let _outer = span_tagged("test_trace/outer", "threads", 4);
@@ -253,6 +264,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_loadable_shape() {
+        let _gate = hold_gate();
         set_tracing(true);
         {
             let _s = span_tagged("test_trace/export", "threads", 2);

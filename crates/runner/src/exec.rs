@@ -327,7 +327,10 @@ impl InstanceCache {
                 spec: label.clone(),
                 graph_seed,
             },
-            || Arc::new(spec.build(graph_seed)),
+            || {
+                let _span = bichrome_obs::span("graph/build");
+                Arc::new(spec.build(graph_seed))
+            },
         );
         let partition = self.partitions.get_or_build(
             PartitionKey {
@@ -335,7 +338,10 @@ impl InstanceCache {
                 graph_seed,
                 partitioner,
             },
-            || Arc::new(partitioner.split(&graph)),
+            || {
+                let _span = bichrome_obs::span("graph/partition");
+                Arc::new(partitioner.split(&graph))
+            },
         );
         Instance {
             label,
