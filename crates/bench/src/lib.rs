@@ -1,11 +1,15 @@
 //! Shared plumbing for the experiment binaries (`e1` – `e9`,
-//! `a1` – `a2`, `bench_campaign`).
+//! `a1` – `a2`).
 //!
-//! Each binary regenerates one table of EXPERIMENTS.md by declaring a
-//! `bichrome_runner::Campaign` (or, for the pinned historical setups,
-//! a `TrialPlan`). The text-table printer and the statistics are the
-//! runner crate's — exactly one implementation of each in the
-//! workspace — so this crate only re-exports them.
+//! Each binary prints one table of the paper's experiments by
+//! declaring a `bichrome_runner::Campaign` (or, for the pinned
+//! historical setups, a `TrialPlan`). The text-table printer and the
+//! statistics are the runner crate's — exactly one implementation of
+//! each in the workspace — so this crate only re-exports them.
+//!
+//! These binaries print results, not timings. Performance is measured
+//! by the repository benchmark, `campaign-bench/` at the workspace
+//! root.
 //!
 //! # Example
 //!

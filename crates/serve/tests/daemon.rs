@@ -212,6 +212,66 @@ fn socket_clients_share_the_daemon() {
     );
 }
 
+/// Concurrent socket clients submitting disjoint jobs all see their
+/// jobs finish, and a shutdown over the wire leaves every computed
+/// trial durable in a clean store.
+#[test]
+fn concurrent_socket_clients_finish_and_every_trial_is_durable() {
+    const CLIENTS: u64 = 4;
+    const JOBS_EACH: u64 = 2;
+    const SEEDS_PER_JOB: u64 = 4;
+    let tmp = TempDir::new("clients");
+    let store_dir = tmp.0.join("store");
+    let daemon = Daemon::start(&store_dir, config(2)).expect("start");
+    let addr = Addr::Unix(tmp.0.join("daemon.sock"));
+    let listener = Listener::bind(&addr).expect("bind");
+    let server = {
+        let daemon = daemon.clone();
+        std::thread::spawn(move || daemon.serve(listener))
+    };
+
+    // Every client's first submit waits for all of them, so the jobs
+    // are in the daemon together.
+    let start = std::sync::Barrier::new(CLIENTS as usize);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let client = Client::new(addr.clone());
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                for j in 0..JOBS_EACH {
+                    let first = (c * JOBS_EACH + j) * SEEDS_PER_JOB;
+                    let campaign = format!(
+                        "[campaign]\n\
+                         protocols = [\"edge/theorem3-zero-comm\"]\n\
+                         graphs    = [\"near-regular(n=48,d=4)\"]\n\
+                         seeds     = \"{first}..{}\"\n",
+                        first + SEEDS_PER_JOB
+                    );
+                    let job = client.submit(&campaign).expect("submit");
+                    let end = client.watch(job, |_| {}).expect("watch");
+                    let end = end.as_object().expect("end event");
+                    assert_eq!(end["state"].as_str(), Some("done"), "job {job}");
+                    assert_eq!(
+                        end["summary"].as_str(),
+                        Some("computed 4 trials (0 skipped via store)"),
+                        "job {job}"
+                    );
+                }
+            });
+        }
+    });
+
+    Client::new(addr).shutdown().expect("shutdown");
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
+    let store = Store::open_existing(&store_dir).expect("reopen");
+    assert_eq!(store.len() as u64, CLIENTS * JOBS_EACH * SEEDS_PER_JOB);
+    assert!(store.salvage().is_none(), "shutdown leaves a clean store");
+}
+
 /// Cancellation is cooperative: queued tasks drain without running,
 /// completed trials stay committed, and the watcher gets a
 /// `cancelled` end event.

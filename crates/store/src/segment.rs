@@ -20,7 +20,7 @@
 //! keeps covering identity and payload alike. Compared to the v1
 //! JSON lines, decoding is a bounds check and a hash instead of a
 //! recursive-descent parse, which is what makes opening a
-//! 10⁵–10⁶-record store fast (see `bench_serve`).
+//! 10⁵–10⁶-record store fast.
 //!
 //! Corruption handling mirrors v1: decoding keeps the longest
 //! well-formed prefix of a segment (bad magic, an oversized or torn

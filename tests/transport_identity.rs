@@ -79,6 +79,7 @@ proptest! {
         n in 8usize..48,
         d in 2usize..6,
         seed in 0u64..1000,
+        short in 1usize..16,
     ) {
         let cache = InstanceCache::new();
         for key in PROTOCOLS {
@@ -104,8 +105,12 @@ proptest! {
                 "{} tcp record differs from inproc", key
             );
             // A recoverable fault plan on the harshest wire changes
-            // nothing either: retransmits happen below the meter.
-            let plan = FaultPlan::new().sever_at(1 + seed % 3).corrupt_at(2);
+            // nothing either: retransmits and short reads and writes
+            // happen below the meter.
+            let plan = FaultPlan::new()
+                .sever_at(1 + seed % 3)
+                .corrupt_at(2)
+                .short(short);
             let faulted = compute_trial(&trial, TransportKind::Tcp, &plan, &cache)
                 .expect("descriptor resolves under faults");
             prop_assert_eq!(
